@@ -186,7 +186,6 @@ int main() {
   std::vector<SweepPoint> sweep;
   for (double rate : kRates) {
     serving::ServerConfig server_config;
-    server_config.coalesce_window = std::chrono::microseconds(500);
     server_config.max_pending = 128;  // bounded: saturation must refuse
     serving::RuleServer server(*f.pipeline, server_config);
     Status st = server.Start();
@@ -293,7 +292,6 @@ int main() {
   constexpr double kNoisyRate = 3000;
   const double kNoisySeconds = bench::SmokeMode() ? 0.3 : 1.5;
   serving::ServerConfig fair_config;
-  fair_config.coalesce_window = std::chrono::microseconds(500);
   fair_config.rate_limit_per_sec = 300;  // each tenant's budget
   fair_config.rate_limit_burst = 32;
   serving::RuleServer server(*f.pipeline, fair_config);

@@ -326,6 +326,7 @@ void ReplicaFollower::RunSession() {
     connect_failures_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  serving::SetNoDelay(fd);
   session_fd_.store(fd, std::memory_order_release);
 
   auto teardown = [&] {

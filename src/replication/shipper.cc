@@ -114,6 +114,7 @@ void LogShipper::AcceptLoop() {
       return;  // listener shut down
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    serving::SetNoDelay(fd);
     ReapFinishedSessions();
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (stopping_.load(std::memory_order_acquire) ||

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,10 +31,7 @@ Result<RuleClient> RuleClient::Connect(uint16_t port) {
     ::close(fd);
     return st;
   }
-  // Single-item requests are tiny frames; serving latency benefits from
-  // them leaving now rather than riding Nagle's 40ms coattails.
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd);
   return RuleClient(fd);
 }
 

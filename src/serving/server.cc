@@ -146,6 +146,7 @@ void RuleServer::AcceptLoop() {
       return;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    SetNoDelay(fd);
     auto conn = std::make_shared<Connection>(fd);
     uint64_t id;
     {
@@ -273,6 +274,19 @@ void RuleServer::ReadLoop(const std::shared_ptr<Connection>& conn) {
   }
 }
 
+void RuleServer::TakeCoalescable(const std::string& tenant,
+                                 std::vector<Pending>& batch) {
+  for (auto it = queue_.begin();
+       it != queue_.end() && batch.size() < config_.max_coalesce_batch;) {
+    if (Coalescable(*it) && it->request.tenant == tenant) {
+      batch.push_back(std::move(*it));
+      it = queue_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void RuleServer::DispatchLoop() {
   for (;;) {
     std::vector<Pending> batch;
@@ -280,53 +294,24 @@ void RuleServer::DispatchLoop() {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
                      [this] { return !queue_.empty() || drain_and_exit_; });
-      if (queue_.empty()) {
-        if (drain_and_exit_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // drained
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
 
       if (Coalescable(batch.front())) {
-        // Hold the batch open for more coalescable same-tenant arrivals
-        // until the window closes or the batch fills. In drain mode the
-        // window is skipped — whatever is queued goes out now.
-        batch.reserve(config_.max_coalesce_batch);
-        // By value: push_back may reallocate `batch` and a reference
-        // into front() would dangle.
+        // Merge the coalescable same-tenant requests already queued. Only
+        // a nonzero coalesce_window then holds the batch open for later
+        // arrivals, until it closes or the batch fills; drain mode skips
+        // the wait. By value: push_back may reallocate `batch`.
         const std::string tenant = batch.front().request.tenant;
-        const auto window_end =
-            Clock::now() + (drain_and_exit_ ? std::chrono::microseconds(0)
-                                            : config_.coalesce_window);
+        const auto window_end = Clock::now() + config_.coalesce_window;
         for (;;) {
-          for (auto it = queue_.begin();
-               it != queue_.end() &&
-               batch.size() < config_.max_coalesce_batch;) {
-            if (Coalescable(*it) && it->request.tenant == tenant) {
-              batch.push_back(std::move(*it));
-              it = queue_.erase(it);
-            } else {
-              ++it;
-            }
-          }
-          if (batch.size() >= config_.max_coalesce_batch) break;
-          if (drain_and_exit_) break;
-          if (queue_cv_.wait_until(lock, window_end) ==
-              std::cv_status::timeout) {
-            // One final sweep below the timeout: arrivals that squeaked
-            // in between the last scan and the timeout still merge.
-            for (auto it = queue_.begin();
-                 it != queue_.end() &&
-                 batch.size() < config_.max_coalesce_batch;) {
-              if (Coalescable(*it) && it->request.tenant == tenant) {
-                batch.push_back(std::move(*it));
-                it = queue_.erase(it);
-              } else {
-                ++it;
-              }
-            }
+          TakeCoalescable(tenant, batch);
+          if (batch.size() >= config_.max_coalesce_batch ||
+              drain_and_exit_ || Clock::now() >= window_end) {
             break;
           }
+          queue_cv_.wait_until(lock, window_end);
         }
       }
     }
@@ -342,6 +327,7 @@ void RuleServer::DispatchBatch(std::vector<Pending> batch) {
   std::vector<Pending> live;
   live.reserve(batch.size());
   for (auto& pending : batch) {
+    queue_wait_us_.Record(ElapsedUs(pending.admitted, dispatch_start));
     if (pending.deadline.has_value() && *pending.deadline <= dispatch_start) {
       deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
       RespondAdmitted(pending,
@@ -547,7 +533,6 @@ void RuleServer::HandleEdit(Connection& conn, WireRuleEditRequest request) {
 
 void RuleServer::RespondAdmitted(const Pending& pending,
                                  const WireClassifyResponse& response) {
-  queue_wait_us_.Record(ElapsedUs(pending.admitted, Clock::now()));
   Respond(*pending.conn, response);
   latency_us_.Record(ElapsedUs(pending.admitted, Clock::now()));
 }

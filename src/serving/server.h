@@ -33,8 +33,9 @@ struct ServerConfig {
   size_t io_threads = 4;
   /// How long the dispatcher holds an eligible single-item request open
   /// for more coalescable arrivals (same tenant, allow_coalesce, no
-  /// durability demand) before dispatching the merged batch.
-  std::chrono::microseconds coalesce_window{500};
+  /// durability demand). 0 (the default) never waits: what is already
+  /// queued merges and dispatches at once; later arrivals form the next.
+  std::chrono::microseconds coalesce_window{0};
   /// Hard cap on requests merged into one dispatched batch.
   size_t max_coalesce_batch = 64;
   /// Bounded pending-request queue; arrivals beyond it are refused with
@@ -91,7 +92,7 @@ struct ServerStats {
 ///
 ///   accept thread -> reader tasks (ThreadPool, one per connection)
 ///     -> admission (rate limit, bounded queue, deadline, validity)
-///       -> dispatcher thread (coalesces single-item requests, sheds
+///       -> dispatcher thread (merges queued single-item requests, sheds
 ///          expired ones, runs pipeline.Classify once per batch)
 ///         -> response frames written back per connection
 ///
@@ -167,6 +168,9 @@ class RuleServer {
   void RespondAdmitted(const Pending& pending,
                        const WireClassifyResponse& response);
   bool Coalescable(const Pending& pending) const;
+  /// Moves queued coalescable requests of `tenant` into `batch`, oldest
+  /// first, until it holds max_coalesce_batch. Requires queue_mu_.
+  void TakeCoalescable(const std::string& tenant, std::vector<Pending>& batch);
 
   const chimera::ChimeraPipeline& pipeline_;
   const ServerConfig config_;

@@ -1,5 +1,8 @@
 #include "src/serving/wire.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -266,11 +269,12 @@ WireClassifyResponse ResponseFrom(uint64_t request_id,
 
 namespace {
 
-/// write(2) until all of `data` is on the wire (or a real error).
+/// send(2) until all of `data` is on the wire (or a real error). A peer
+/// that already closed yields EPIPE, not a process-killing SIGPIPE.
 Status WriteAll(int fd, const char* data, size_t size) {
   size_t sent = 0;
   while (sent < size) {
-    ssize_t n = ::write(fd, data + sent, size - sent);
+    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(
@@ -349,6 +353,11 @@ Result<Frame> ReadFrame(int fd) {
     }
   }
   return frame;
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace rulekit::serving

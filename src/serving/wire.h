@@ -214,6 +214,10 @@ struct Frame {
 };
 Result<Frame> ReadFrame(int fd);
 
+/// Turns off Nagle's algorithm so small frames leave at once instead of
+/// waiting on the peer's delayed ACK. Every RuleKit TCP socket sets it.
+void SetNoDelay(int fd);
+
 }  // namespace rulekit::serving
 
 #endif  // RULEKIT_SERVING_WIRE_H_

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <optional>
@@ -347,6 +348,89 @@ TEST(RuleServerTest, CoalescedResponsesMatchDirectClassify) {
       << "no two concurrent single-title requests ever shared a batch";
   EXPECT_GT(stats.batch_size.Mean(), 1.0);
   EXPECT_LT(stats.batches_dispatched, titles.size() * kRounds);
+  server.Stop();
+}
+
+// With the default config a lone request dispatches at once: 200
+// sequential round trips on one connection together stay under what a
+// 500us coalescing timer alone would cost them, and nothing merges. A
+// timer fails every trial; the best of a few trials absorbs a loaded
+// (or sanitizer-slowed) machine.
+TEST(RuleServerTest, LoneRequestWaitsForNoTimer) {
+  auto& pipeline = SharedPipeline();
+  RuleServer server(pipeline, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = RuleClient::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Call(OneTitle(1, "gold ring")).ok());  // warm up
+
+  constexpr int kRequests = 200;
+  constexpr int kTrials = 5;
+  const auto timer_cost = kRequests * std::chrono::microseconds(500);
+  auto best = std::chrono::steady_clock::duration::max();
+  for (int trial = 0; trial < kTrials && best >= timer_cost; ++trial) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kRequests; ++i) {
+      auto response = client->Call(OneTitle(i + 2, "gold ring"));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response->code, WireCode::kOk);
+    }
+    best = std::min(best, std::chrono::steady_clock::now() - start);
+  }
+  EXPECT_LT(best, timer_cost)
+      << "best of " << kTrials << " trials took "
+      << std::chrono::duration_cast<std::chrono::microseconds>(best).count()
+      << "us for " << kRequests << " requests";
+
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.coalesced_requests, 0u);
+  EXPECT_EQ(stats.batch_size.Mean(), 1.0);  // every dispatch a batch of 1
+  EXPECT_EQ(stats.batches_dispatched, stats.requests_admitted);
+  server.Stop();
+}
+
+// Concurrent clients under the default (zero-window) config: requests
+// merge or not depending on timing, and either way every response equals
+// a direct in-process Classify of the same title.
+TEST(RuleServerTest, DefaultConfigResponsesMatchDirectClassify) {
+  auto& pipeline = SharedPipeline();
+  ServerConfig config;
+  config.io_threads = 8;
+  RuleServer server(pipeline, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::vector<std::string> titles = {
+      "diamond ring",  "motor oil 5w30", "paperback novel", "gold ring",
+      "engine oil 1l", "hardcover",      "toe ring",        "silver ring"};
+  std::vector<std::optional<std::string>> direct(titles.size());
+  for (size_t i = 0; i < titles.size(); ++i) {
+    std::vector<data::ProductItem> one = {MakeItem(titles[i])};
+    chimera::ClassifyRequest request;
+    request.items = one;
+    direct[i] = pipeline.Classify(request).report.predictions[0];
+  }
+
+  constexpr int kCallsPerClient = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < titles.size(); ++i) {
+    clients.emplace_back([&, i] {
+      auto client = RuleClient::Connect(server.port());
+      for (int call = 0; client.ok() && call < kCallsPerClient; ++call) {
+        auto response = client->Call(OneTitle(call + 1, titles[i]));
+        if (!response.ok() || response->code != WireCode::kOk ||
+            response->predictions.size() != 1 ||
+            response->predictions[0] != direct[i]) {
+          ++mismatches;
+        }
+      }
+      if (!client.ok()) ++mismatches;
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.stats().requests_admitted,
+            titles.size() * kCallsPerClient);
   server.Stop();
 }
 
