@@ -18,6 +18,10 @@
 #   scripts/check.sh tsan --labels drift # the self-healing loop under TSan
 #                                        # (drift_stress_test is dual-labeled
 #                                        # drift+stress)
+#   scripts/check.sh tsan --labels tenant # tenant isolation plus the
+#                                        # multi-tenant writer stress under
+#                                        # TSan (chimera_concurrency_test is
+#                                        # dual-labeled stress+tenant)
 #   scripts/check.sh --bench-smoke       # build the plain tree and run every
 #                                        # bench binary once with a tiny
 #                                        # iteration budget (RULEKIT_BENCH_

@@ -40,6 +40,7 @@ ChimeraPipeline::ChimeraPipeline(PipelineConfig config)
     pool_ = std::make_unique<ThreadPool>(config_.batch_threads);
   }
   shard_cache_.resize(repo_->shard_count());
+  tenant_runtime_.emplace(std::string(), TenantRuntime{});
   RepublishAll();
   // Started last: the thread's run function touches the members above.
   std::map<std::string, RetrainPolicy> tenant_policies;
@@ -86,51 +87,40 @@ void ChimeraPipeline::RepublishShards(
     serving->shard_index = key.index();
     serving->rule_version = shard_snap.version;
     serving->tenant_versions = shard_snap.tenant_versions;
-    serving->rules = shard_snap.rules;
-    // Partition the shard's rules by owning tenant. The common case — no
-    // foreign-tenant rules — reuses the pinned set wholesale, so
-    // single-tenant serving builds exactly what it always built.
-    bool has_foreign = false;
-    for (const rules::Rule& rule : shard_snap.rules->rules()) {
-      if (!rule.metadata().tenant.empty()) {
-        has_foreign = true;
-        break;
-      }
-    }
-    std::shared_ptr<const rules::RuleSet> shared_rules = shard_snap.rules;
+    // Partition the shard's rules by owning tenant, "" always included.
+    // The common case — no foreign-tenant rules — builds "" over the
+    // pinned set itself, with no copy.
+    const auto& shard_rules = shard_snap.rules->rules();
+    const bool has_foreign =
+        std::any_of(shard_rules.begin(), shard_rules.end(),
+                    [](const rules::Rule& rule) {
+                      return !rule.metadata().tenant.empty();
+                    });
+    const auto add_partition =
+        [&](const std::string& tenant,
+            std::shared_ptr<const rules::RuleSet> set) {
+          ShardServing::TenantPartition partition;
+          partition.rule_classifier =
+              std::make_shared<engine::RuleBasedClassifier>(
+                  set, engine::RuleClassifierOptions{
+                           .index_sample = config_.index_sample_titles});
+          partition.attr_classifier =
+              std::make_shared<engine::AttrValueClassifier>(set);
+          partition.filter = std::make_shared<Filter>(set);
+          serving->partitions.emplace(tenant, std::move(partition));
+        };
     if (has_foreign) {
-      auto defaults = std::make_shared<rules::RuleSet>();
-      std::map<std::string, std::shared_ptr<rules::RuleSet>> tenant_sets;
-      for (const rules::Rule& rule : shard_snap.rules->rules()) {
-        const std::string& owner = rule.metadata().tenant;
-        if (owner.empty()) {
-          (void)defaults->Add(rule);
-          continue;
-        }
-        auto& set = tenant_sets[owner];
+      std::map<std::string, std::shared_ptr<rules::RuleSet>> owned;
+      owned.emplace(std::string(), std::make_shared<rules::RuleSet>());
+      for (const rules::Rule& rule : shard_rules) {
+        auto& set = owned[rule.metadata().tenant];
         if (set == nullptr) set = std::make_shared<rules::RuleSet>();
         (void)set->Add(rule);
       }
-      shared_rules = std::move(defaults);
-      for (auto& [tenant, set] : tenant_sets) {
-        ShardServing::TenantPartition partition;
-        partition.rules = set;
-        partition.rule_classifier = std::make_shared<
-            engine::RuleBasedClassifier>(
-            set, engine::RuleClassifierOptions{
-                     .index_sample = config_.index_sample_titles});
-        partition.attr_classifier =
-            std::make_shared<engine::AttrValueClassifier>(set);
-        partition.filter = std::make_shared<Filter>(set);
-        serving->tenants.emplace(tenant, std::move(partition));
-      }
+      for (auto& [tenant, set] : owned) add_partition(tenant, std::move(set));
+    } else {
+      add_partition(std::string(), shard_snap.rules);
     }
-    serving->rule_classifier = std::make_shared<engine::RuleBasedClassifier>(
-        shared_rules, engine::RuleClassifierOptions{
-                          .index_sample = config_.index_sample_titles});
-    serving->attr_classifier =
-        std::make_shared<engine::AttrValueClassifier>(shared_rules);
-    serving->filter = std::make_shared<Filter>(shared_rules);
     built.push_back(std::move(serving));
   }
 
@@ -160,93 +150,62 @@ void ChimeraPipeline::ComposeAndSwapLocked() {
     auto it = serving.tenant_versions.find(tenant);
     return it == serving.tenant_versions.end() ? 0 : it->second;
   };
+  const TenantRuntime& shared = tenant_runtime_.at("");
 
-  auto snap = std::make_shared<PipelineSnapshot>();
-  snap->shards = shard_cache_;
-  std::vector<std::shared_ptr<const engine::RuleBasedClassifier>> rule_shards;
-  std::vector<std::shared_ptr<const engine::AttrValueClassifier>> attr_shards;
-  std::vector<std::shared_ptr<const Filter>> filter_shards;
-  rule_shards.reserve(shard_cache_.size());
-  attr_shards.reserve(shard_cache_.size());
-  filter_shards.reserve(shard_cache_.size());
-  for (const auto& serving : shard_cache_) {
-    rule_shards.push_back(serving->rule_classifier);
-    attr_shards.push_back(serving->attr_classifier);
-    filter_shards.push_back(serving->filter);
-    snap->composite_rule_version += serving->rule_version;
-    // Order-sensitive: shard index is implicit in iteration order, so
-    // distinct per-shard version vectors get distinct fingerprints. The
-    // default tag hashes the default tenant's counters — identical to
-    // the shard versions in single-tenant histories, but insensitive to
-    // foreign tenants' commits, so a noisy tenant's edits never
-    // stale-drop the default partition's cache entries.
-    snap->rule_state_fingerprint = HashCombine(
-        snap->rule_state_fingerprint, tenant_version_of(*serving, {}));
-  }
-  snap->semantic_generation = semantic_gen_;
-  snap->rule_classifier = std::make_shared<engine::ShardedRuleClassifier>(
-      std::move(rule_shards));
-  snap->attr_classifier = std::make_shared<engine::ShardedAttrValueClassifier>(
-      std::move(attr_shards));
-  snap->filter = std::make_shared<ShardedFilter>(std::move(filter_shards));
-  snap->ensemble = ensemble_;
-  snap->suppressed = suppressed_;
-
-  auto voting = std::make_shared<VotingMaster>(config_.voting);
-  if (config_.use_rules) {
-    voting->AddMember(snap->rule_classifier, config_.rule_weight);
-    voting->AddMember(snap->attr_classifier, config_.attr_weight);
-  }
-  if (config_.use_learning && snap->ensemble != nullptr) {
-    voting->AddMember(snap->ensemble, config_.learning_weight);
-  }
-  snap->voting = std::move(voting);
-  snap->version = ++version_;
-
-  // Tenant views: one per tenant with rules or runtime state. Each view
-  // stacks the tenant's shard partitions after every shard's default
-  // build; classifier and filter share one positional order, so the
-  // batch executors' per-shard results line up.
+  // One view per tenant with runtime state ("" always) or rules.
   std::set<std::string> view_tenants;
   for (const auto& [tenant, runtime] : tenant_runtime_) {
     view_tenants.insert(tenant);
   }
   for (const auto& serving : shard_cache_) {
-    for (const auto& [tenant, partition] : serving->tenants) {
+    for (const auto& [tenant, partition] : serving->partitions) {
       view_tenants.insert(tenant);
     }
   }
+
+  auto snap = std::make_shared<PipelineSnapshot>();
   for (const std::string& tenant : view_tenants) {
-    PipelineSnapshot::TenantView view;
+    // Every shard's "" partition first, then the tenant's own partitions;
+    // classifier and filter share one positional order, so the batch
+    // executors' per-shard results line up.
     std::vector<std::shared_ptr<const engine::RuleBasedClassifier>> rules_v;
     std::vector<std::shared_ptr<const engine::AttrValueClassifier>> attrs_v;
     std::vector<std::shared_ptr<const Filter>> filters_v;
-    uint64_t fingerprint = 0;
+    const auto stack = [&](const ShardServing::TenantPartition& partition) {
+      rules_v.push_back(partition.rule_classifier);
+      attrs_v.push_back(partition.attr_classifier);
+      filters_v.push_back(partition.filter);
+    };
+    // Seeded with the view's key, so a tenant's own view never shares a
+    // tag with the "" view it served through before it had state: the
+    // winners it cached then must drop once its own rules, suppressions
+    // or ensemble apply, even when every counter happens to agree.
+    uint64_t fingerprint = HashBytes(tenant);
     for (const auto& serving : shard_cache_) {
-      rules_v.push_back(serving->rule_classifier);
-      attrs_v.push_back(serving->attr_classifier);
-      filters_v.push_back(serving->filter);
-      // Pair the shared counter with the tenant's own, in shard order:
-      // a shared-rule commit re-tags every tenant's view, a tenant-rule
-      // commit re-tags only that tenant's.
-      fingerprint = HashCombine(fingerprint, tenant_version_of(*serving, {}));
+      stack(serving->partitions.at(""));
+      // Order-sensitive (shard index is implicit in iteration order), and
+      // pairs the shared counter with the tenant's own: a shared-rule
+      // commit re-tags every tenant's view, a tenant-rule commit re-tags
+      // only that tenant's.
+      fingerprint = HashCombine(fingerprint, tenant_version_of(*serving, ""));
       fingerprint =
           HashCombine(fingerprint, tenant_version_of(*serving, tenant));
     }
-    for (const auto& serving : shard_cache_) {
-      auto it = serving->tenants.find(tenant);
-      if (it == serving->tenants.end()) continue;
-      rules_v.push_back(it->second.rule_classifier);
-      attrs_v.push_back(it->second.attr_classifier);
-      filters_v.push_back(it->second.filter);
+    if (!tenant.empty()) {
+      for (const auto& serving : shard_cache_) {
+        auto it = serving->partitions.find(tenant);
+        if (it != serving->partitions.end()) stack(it->second);
+      }
     }
+
+    PipelineSnapshot::TenantView view;
     view.rule_classifier =
         std::make_shared<engine::ShardedRuleClassifier>(std::move(rules_v));
     view.attr_classifier =
         std::make_shared<engine::ShardedAttrValueClassifier>(
             std::move(attrs_v));
     view.filter = std::make_shared<ShardedFilter>(std::move(filters_v));
-    view.suppressed = suppressed_;
+    view.suppressed = shared.suppressed;
     uint64_t tenant_gen = 0;
     auto rt = tenant_runtime_.find(tenant);
     if (rt != tenant_runtime_.end()) {
@@ -255,19 +214,21 @@ void ChimeraPipeline::ComposeAndSwapLocked() {
                              rt->second.suppressed.end());
       tenant_gen = rt->second.semantic_gen;
     }
-    if (view.ensemble == nullptr) view.ensemble = ensemble_;
-    view.tag = {fingerprint, HashCombine(semantic_gen_, tenant_gen)};
-    auto tenant_voting = std::make_shared<VotingMaster>(config_.voting);
+    if (view.ensemble == nullptr) view.ensemble = shared.ensemble;
+    view.tag = {fingerprint, HashCombine(shared.semantic_gen, tenant_gen)};
+    auto voting = std::make_shared<VotingMaster>(config_.voting);
     if (config_.use_rules) {
-      tenant_voting->AddMember(view.rule_classifier, config_.rule_weight);
-      tenant_voting->AddMember(view.attr_classifier, config_.attr_weight);
+      voting->AddMember(view.rule_classifier, config_.rule_weight);
+      voting->AddMember(view.attr_classifier, config_.attr_weight);
     }
     if (config_.use_learning && view.ensemble != nullptr) {
-      tenant_voting->AddMember(view.ensemble, config_.learning_weight);
+      voting->AddMember(view.ensemble, config_.learning_weight);
     }
-    view.voting = std::move(tenant_voting);
+    view.voting = std::move(voting);
     snap->tenant_views.emplace(tenant, std::move(view));
   }
+  snap->semantic_generation = shared.semantic_gen;
+  snap->version = ++version_;
 
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snap);
@@ -325,8 +286,7 @@ void ChimeraPipeline::AddTrainingData(std::vector<data::LabeledItem> labeled,
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     std::vector<data::LabeledItem>& pool =
-        tenant.is_default() ? training_data_
-                            : tenant_runtime_[tenant.value()].training_data;
+        tenant_runtime_[tenant.value()].training_data;
     pool.insert(pool.end(), std::make_move_iterator(labeled.begin()),
                 std::make_move_iterator(labeled.end()));
     total = pool.size();
@@ -338,7 +298,6 @@ void ChimeraPipeline::AddTrainingData(std::vector<data::LabeledItem> labeled,
 
 size_t ChimeraPipeline::training_size(const rules::TenantId& tenant) const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (tenant.is_default()) return training_data_.size();
   auto it = tenant_runtime_.find(tenant.value());
   return it == tenant_runtime_.end() ? 0 : it->second.training_data.size();
 }
@@ -363,12 +322,8 @@ RetrainReport ChimeraPipeline::RetrainNow(const std::string& tenant) {
   std::vector<data::LabeledItem> data;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (tenant.empty()) {
-      data = training_data_;
-    } else {
-      auto it = tenant_runtime_.find(tenant);
-      if (it != tenant_runtime_.end()) data = it->second.training_data;
-    }
+    auto it = tenant_runtime_.find(tenant);
+    if (it != tenant_runtime_.end()) data = it->second.training_data;
   }
   if (data.empty()) {
     report.outcome = RetrainReport::Outcome::kNoTrainingData;
@@ -390,16 +345,12 @@ RetrainReport ChimeraPipeline::RetrainNow(const std::string& tenant) {
 
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (tenant.empty()) {
-      ensemble_ = std::move(ensemble);
-      ++semantic_gen_;  // new ensemble => cached voting winners are stale
-      report.publish_generation = semantic_gen_;
-    } else {
-      TenantRuntime& runtime = tenant_runtime_[tenant];
-      runtime.ensemble = std::move(ensemble);
-      ++runtime.semantic_gen;  // re-tags only this tenant's cached winners
-      report.publish_generation = runtime.semantic_gen;
-    }
+    TenantRuntime& runtime = tenant_runtime_[tenant];
+    runtime.ensemble = std::move(ensemble);
+    // New ensemble => the tenant's cached voting winners are stale (for
+    // "", every tenant voting with the default ensemble's are).
+    ++runtime.semantic_gen;
+    report.publish_generation = runtime.semantic_gen;
     ComposeAndSwapLocked();
   }
   report.published = true;
@@ -433,14 +384,9 @@ Status ChimeraPipeline::ScaleDownType(const std::string& type,
     // moves) must invalidate cached winners of the suppressed type. The
     // default tenant's suppression applies to every view (emergency
     // lever); a tenant's applies to its own view only.
-    if (tenant.is_default()) {
-      suppressed_.insert(type);
-      ++semantic_gen_;
-    } else {
-      TenantRuntime& runtime = tenant_runtime_[tenant.value()];
-      runtime.suppressed.insert(type);
-      ++runtime.semantic_gen;
-    }
+    TenantRuntime& runtime = tenant_runtime_[tenant.value()];
+    runtime.suppressed.insert(type);
+    ++runtime.semantic_gen;
   }
   auto disabled = repo_->DisableRulesForType(type, author, reason, tenant);
   if (!disabled.ok()) {
@@ -465,14 +411,13 @@ Status ChimeraPipeline::ScaleDownType(const std::string& type,
 void ChimeraPipeline::ScaleUpType(const std::string& type,
                                   const rules::TenantId& tenant) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (tenant.is_default()) {
-    suppressed_.erase(type);
-    ++semantic_gen_;
-  } else {
-    TenantRuntime& runtime = tenant_runtime_[tenant.value()];
-    runtime.suppressed.erase(type);
-    ++runtime.semantic_gen;
+  auto it = tenant_runtime_.find(tenant.value());
+  // Lifting a suppression that is not in place changes no view: keep
+  // every cached winner and register no tenant.
+  if (it == tenant_runtime_.end() || it->second.suppressed.erase(type) == 0) {
+    return;
   }
+  ++it->second.semantic_gen;
   ComposeAndSwapLocked();
 }
 
@@ -571,24 +516,13 @@ BatchReport ChimeraPipeline::RunBatch(
   auto snap = CurrentSnapshot();
   auto memo = gate_.snapshot();
   ThreadPool* pool = pool_.get();
-  // Resolve the tenant's serving view once for the whole batch (see
-  // Classify). The default tenant resolves to the snapshot's own fields
-  // and the default cache partition — the historical path exactly.
-  const PipelineSnapshot::TenantView* view = nullptr;
-  if (!tenant.is_default()) {
-    auto it = snap->tenant_views.find(tenant.value());
-    if (it != snap->tenant_views.end()) view = &it->second;
-  }
-  const auto& suppressed = view != nullptr ? view->suppressed : snap->suppressed;
-  const VotingMaster& voting = view != nullptr ? *view->voting : *snap->voting;
-  const ShardedFilter& filter = view != nullptr ? *view->filter : *snap->filter;
+  // Resolve the tenant's serving view and cache partition once for the
+  // whole batch.
+  const PipelineSnapshot::TenantView& view = snap->ViewFor(tenant.value());
   const engine::ShardedRuleClassifier* rule_classifier =
-      view != nullptr ? view->rule_classifier.get()
-                      : snap->rule_classifier.get();
+      view.rule_classifier.get();
   engine::HotResultCache* cache =
       caches_ == nullptr ? nullptr : &caches_->For(tenant.value());
-  const engine::VersionTag tag =
-      view != nullptr ? view->tag : snap->result_tag();
 
   BatchReport report;
   report.total = items.size();
@@ -617,7 +551,7 @@ BatchReport ChimeraPipeline::RunBatch(
         continue;
       }
       if (d.kind == GateDecision::Kind::kClassified) {
-        if (suppressed.count(d.type)) {
+        if (view.suppressed.count(d.type)) {
           gate_outcome[i] = kGateSuppressed;
         } else {
           gate_outcome[i] = kGateClassified;
@@ -626,7 +560,7 @@ BatchReport ChimeraPipeline::RunBatch(
         continue;
       }
       if (cache != nullptr) {
-        engine::CacheLookup cached = cache->Lookup(low, tag);
+        engine::CacheLookup cached = cache->Lookup(low, view.tag);
         if (cached.hit) {
           gate_outcome[i] = kCacheHit;
           report.predictions[i] = std::move(cached.type);
@@ -683,7 +617,8 @@ BatchReport ChimeraPipeline::RunBatch(
     });
     precomputed = rule_classifier;
   }
-  auto votes = voting.VoteBatch(pass_ptrs, pool, precomputed, &rule_scored);
+  auto votes =
+      view.voting->VoteBatch(pass_ptrs, pool, precomputed, &rule_scored);
 
   // ---- Stage 4: suppression + filter + accounting ------------------------
   // Per-chunk partial reports, merged in chunk order: counters are sums,
@@ -707,11 +642,11 @@ BatchReport ChimeraPipeline::RunBatch(
         continue;
       }
       const std::string& label = votes[j]->label;
-      if (suppressed.count(label)) {
+      if (view.suppressed.count(label)) {
         ++p.suppressed;
         continue;
       }
-      if (!filter.AdmitWithMatches(*pass_ptrs[j], label, exec, j)) {
+      if (!view.filter->AdmitWithMatches(*pass_ptrs[j], label, exec, j)) {
         ++p.filtered;
         continue;
       }
@@ -721,7 +656,8 @@ BatchReport ChimeraPipeline::RunBatch(
       // already completed (stage barriers), so records never change what
       // this batch serves — only future batches.
       if (cache != nullptr) {
-        engine::CacheRecord rec = cache->Record(pass_lowered[j], label, tag);
+        engine::CacheRecord rec =
+            cache->Record(pass_lowered[j], label, view.tag);
         p.promotions += rec.admitted;
         p.evictions += rec.evicted;
       }

@@ -103,103 +103,78 @@ struct PipelineConfig {
 };
 
 /// One shard's serving state, bound to one immutable shard snapshot: the
-/// shard's rules plus the classifiers/filter built against them (index
-/// construction included). Rebuilt only when its shard's version moves;
-/// the other shards' servings are reused pointer-for-pointer across
-/// publishes.
+/// classifiers/filter built against the shard's rules (index construction
+/// included). Rebuilt only when its shard's version moves; the other
+/// shards' servings are reused pointer-for-pointer across publishes.
 struct ShardServing {
   uint32_t shard_index = 0;
   uint64_t rule_version = 0;
   /// Per-tenant version counters pinned with the rules (key "" is the
-  /// default tenant). Tenant-scoped cache tags hash these instead of
-  /// `rule_version`, so one tenant's edits never invalidate another's
-  /// cached results.
+  /// default tenant). Cache tags hash these instead of `rule_version`, so
+  /// one tenant's edits never invalidate another's cached results.
   std::map<std::string, uint64_t> tenant_versions;
-  /// The full pinned shard rule set, all tenants mixed (audit/diagnostic
-  /// view; serving goes through the partitions below).
-  std::shared_ptr<const rules::RuleSet> rules;
-  /// Default-tenant build: classifiers/filter over the shard's shared
-  /// ("" tenant) rules only. When the shard hosts no foreign-tenant
-  /// rules these are built over `rules` itself — no extra copy, and
-  /// byte-identical single-tenant serving.
-  std::shared_ptr<const engine::RuleBasedClassifier> rule_classifier;
-  std::shared_ptr<const engine::AttrValueClassifier> attr_classifier;
-  std::shared_ptr<const Filter> filter;
-  /// One partition per non-default tenant owning rules in this shard.
-  /// A tenant's serving view stacks its partitions after every shard's
-  /// default build (shared rules serve everyone; a tenant's own rules
-  /// serve only it).
+  /// One build per tenant owning rules in this shard, keyed by tenant.
+  /// "" (the shared rules) is always present; when the shard hosts no
+  /// foreign-tenant rules it is built over the pinned set itself — no
+  /// extra copy. A tenant's serving view stacks its own partitions after
+  /// every shard's "" partition (shared rules serve everyone; a tenant's
+  /// own rules serve only it).
   struct TenantPartition {
-    std::shared_ptr<const rules::RuleSet> rules;
     std::shared_ptr<const engine::RuleBasedClassifier> rule_classifier;
     std::shared_ptr<const engine::AttrValueClassifier> attr_classifier;
     std::shared_ptr<const Filter> filter;
   };
-  std::map<std::string, TenantPartition> tenants;
+  std::map<std::string, TenantPartition> partitions;
 };
 
-/// Everything one classification needs, pinned coherently: a vector of
-/// per-shard servings (each at its own shard version), the sharded
-/// classifier/filter wrappers that merge them, the learning ensemble,
-/// voting master, and the suppressed-type set. Writers compose a fresh
-/// snapshot (reusing unchanged shards' servings) and swap the pipeline's
-/// pointer atomically; readers acquire the pointer once per batch (or per
-/// item) and keep the whole bundle alive via shared_ptr for as long as
-/// they need it. Rule updates therefore never block or corrupt in-flight
+/// Everything one classification needs, pinned coherently: one composed
+/// serving view per tenant (each merging the per-shard servings at their
+/// own shard versions), with its learning ensemble, voting master and
+/// suppressed-type set. Writers compose a fresh snapshot (reusing
+/// unchanged shards' servings) and swap the pipeline's pointer
+/// atomically; readers acquire the pointer once per batch (or per item)
+/// and keep the whole bundle alive via shared_ptr for as long as they
+/// need it. Rule updates therefore never block or corrupt in-flight
 /// classification — a batch finishes on the version it started with.
 struct PipelineSnapshot {
-  std::vector<std::shared_ptr<const ShardServing>> shards;
-  std::shared_ptr<engine::ShardedRuleClassifier> rule_classifier;
-  std::shared_ptr<engine::ShardedAttrValueClassifier> attr_classifier;
-  std::shared_ptr<ml::EnsembleClassifier> ensemble;  // null until trained
-  std::shared_ptr<const VotingMaster> voting;
-  std::shared_ptr<const ShardedFilter> filter;
-  std::unordered_set<std::string> suppressed;
-  /// Publish sequence number (bumps on every snapshot swap).
-  uint64_t version = 0;
-  /// Sum of the pinned shard rule versions (the repository's composite
-  /// version this snapshot serves).
-  uint64_t composite_rule_version = 0;
-  /// Order-sensitive hash of every shard's pinned rule version. Unlike
-  /// the sum above, two different shard-version vectors cannot (in
-  /// practice) fingerprint alike — concurrent writers to disjoint shards
-  /// can publish {A=2,B=1} and {A=1,B=2}, which sum identically but must
-  /// not validate each other's cache entries.
-  uint64_t rule_state_fingerprint = 0;
-  /// Generation of the non-rule serving inputs: bumps on every ensemble
-  /// install (RetrainLearning) and every suppressed-type edit
-  /// (ScaleDownType / ScaleUpType), which change classification without
-  /// necessarily committing a rule mutation.
-  uint64_t semantic_generation = 0;
-
-  /// The tag hot-result-cache entries computed against this snapshot are
-  /// stored (and validated) under: any rule commit, retrain, or
-  /// suppression edit changes it, so stale entries drop on read.
-  engine::VersionTag result_tag() const {
-    return {rule_state_fingerprint, semantic_generation};
-  }
-
-  /// One non-default tenant's composed serving view: every shard's
-  /// default build (shared rules) plus the tenant's own partitions,
+  /// One tenant's composed serving view: every shard's "" partition
+  /// (shared rules) plus, for a non-default tenant, its own partitions,
   /// positionally aligned across classifier/filter so the batch
-  /// executors line up, with the tenant's ensemble (falling back to the
-  /// shared one), merged suppression set, and a tenant-scoped version
-  /// tag hashed from per-shard ("" , tenant) version-counter pairs — so
-  /// a foreign tenant's commits never stale-drop this tenant's cache
-  /// entries, while shared-rule commits invalidate everyone's.
+  /// executors line up. The ensemble is the tenant's own, falling back
+  /// to the default tenant's; the suppression set is the default
+  /// tenant's (platform-wide) plus the tenant's own. The version tag
+  /// hashes per-shard ("", tenant) version-counter pairs and the
+  /// ("", tenant) semantic generations — so a foreign tenant's edits
+  /// never stale-drop this tenant's cache entries, while shared-rule
+  /// commits and default-scope edits invalidate everyone's.
   struct TenantView {
     std::shared_ptr<engine::ShardedRuleClassifier> rule_classifier;
     std::shared_ptr<engine::ShardedAttrValueClassifier> attr_classifier;
     std::shared_ptr<const ShardedFilter> filter;
     std::shared_ptr<const VotingMaster> voting;
-    std::shared_ptr<ml::EnsembleClassifier> ensemble;  // may equal shared
-    std::unordered_set<std::string> suppressed;  // platform-wide ∪ own
+    std::shared_ptr<ml::EnsembleClassifier> ensemble;  // null until trained
+    std::unordered_set<std::string> suppressed;
     engine::VersionTag tag;
   };
-  /// Views for every tenant with rules, training state, or suppressions.
-  /// A tenant absent here serves the default view (plus its own cache
-  /// partition) — correct, since it has no tenant-specific state yet.
+
+  /// Publish sequence number (bumps on every snapshot swap).
+  uint64_t version = 0;
+  /// The default tenant's generation of the non-rule serving inputs:
+  /// bumps on every default ensemble install (RetrainLearning) and every
+  /// default-scope suppression edit (ScaleDownType / ScaleUpType), which
+  /// change classification without necessarily committing a rule
+  /// mutation.
+  uint64_t semantic_generation = 0;
+  /// Views for the default tenant ("", always present) and every tenant
+  /// with rules, training state, or suppressions.
   std::map<std::string, TenantView> tenant_views;
+
+  /// The tenant's view; a tenant absent from `tenant_views` has no
+  /// tenant-specific state yet and serves the default tenant's view.
+  const TenantView& ViewFor(const std::string& tenant) const {
+    auto it = tenant_views.find(tenant);
+    return it != tenant_views.end() ? it->second : tenant_views.at("");
+  }
 };
 
 /// The Chimera system (Figure 2): Gate Keeper -> {rule-based,
@@ -357,13 +332,17 @@ class ChimeraPipeline {
                        const rules::TenantId& tenant = {});
 
   /// Lifts a suppression in `tenant`'s scope (rules must be re-enabled
-  /// via a transaction or a checkpoint restore).
+  /// via a transaction or a checkpoint restore). A no-op when the type
+  /// is not suppressed in that scope: nothing republishes, no cached
+  /// winner goes stale, and no tenant is registered.
   void ScaleUpType(const std::string& type,
                    const rules::TenantId& tenant = {});
 
-  /// Writer-side view; safe when no writer is concurrently scaling.
+  /// The default tenant's suppressed types. Writer-side view; safe when
+  /// no writer is concurrently scaling.
   const std::unordered_set<std::string>& suppressed_types() const {
-    return suppressed_;
+    std::lock_guard<std::mutex> lock(state_mu_);  // map nodes never move
+    return tenant_runtime_.at("").suppressed;
   }
 
   // ---- gate keeper -------------------------------------------------------
@@ -385,7 +364,7 @@ class ChimeraPipeline {
   /// `config.hot_cache.enabled` is false. Counters aggregate across
   /// batches (per-batch numbers live in BatchReport).
   engine::HotResultCache* hot_cache() const {
-    return caches_ == nullptr ? nullptr : &caches_->defaults();
+    return caches_ == nullptr ? nullptr : &caches_->For("");
   }
 
   /// All tenants' cache partitions; null when the cache is disabled.
@@ -475,14 +454,15 @@ class ChimeraPipeline {
   /// serving view's tag, so no writer path ever touches them.
   std::unique_ptr<engine::TenantCacheSet> caches_;
 
-  /// One non-default tenant's writer-side learning/suppression state
-  /// (guarded by state_mu_ with the rest). The default tenant's lives in
-  /// the historical members below — unchanged layout, unchanged
-  /// single-tenant behaviour.
+  /// One tenant's writer-side learning/suppression state (guarded by
+  /// state_mu_ with the rest). The default tenant is the entry "",
+  /// present from construction.
   struct TenantRuntime {
     std::vector<data::LabeledItem> training_data;
     std::shared_ptr<ml::EnsembleClassifier> ensemble;  // null until trained
     std::unordered_set<std::string> suppressed;
+    /// Bumped on every suppression edit and ensemble install; composed
+    /// into the tenant's view tag.
     uint64_t semantic_gen = 0;
   };
 
@@ -490,14 +470,8 @@ class ChimeraPipeline {
   /// shard mutations serialize inside RuleRepository per shard).
   mutable std::mutex state_mu_;
   std::vector<std::shared_ptr<const ShardServing>> shard_cache_;
-  std::map<std::string, TenantRuntime> tenant_runtime_;  // non-default only
-  std::unordered_set<std::string> suppressed_;
-  std::vector<data::LabeledItem> training_data_;
-  std::shared_ptr<ml::EnsembleClassifier> ensemble_;  // null until trained
+  std::map<std::string, TenantRuntime> tenant_runtime_;
   uint64_t version_ = 0;
-  /// Bumped (under state_mu_) on every suppression edit and ensemble
-  /// install; composed into the snapshot's semantic_generation.
-  uint64_t semantic_gen_ = 0;
 
   /// The published snapshot; guarded by snapshot_mu_ (pointer swap only).
   mutable std::mutex snapshot_mu_;

@@ -184,9 +184,8 @@ void HotResultCache::Clear() {
 
 TenantCacheSet::TenantCacheSet(HotCacheConfig default_config)
     : default_config_(default_config) {
-  auto cache = std::make_unique<HotResultCache>(default_config_);
-  default_cache_ = cache.get();
-  caches_.emplace(std::string(), std::move(cache));
+  caches_.emplace(std::string(),
+                  std::make_unique<HotResultCache>(default_config_));
 }
 
 void TenantCacheSet::SetConfig(const std::string& tenant,

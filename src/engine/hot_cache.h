@@ -202,9 +202,6 @@ class TenantCacheSet {
   /// The tenant's cache, created on first use.
   HotResultCache& For(const std::string& tenant);
 
-  /// The default tenant's cache (always exists).
-  HotResultCache& defaults() { return *default_cache_; }
-
   /// Tenants with a live cache partition, default ("") first, the rest
   /// sorted.
   std::vector<std::string> ActiveTenants() const;
@@ -217,7 +214,6 @@ class TenantCacheSet {
   mutable std::mutex mu_;
   std::unordered_map<std::string, HotCacheConfig> overrides_;
   std::unordered_map<std::string, std::unique_ptr<HotResultCache>> caches_;
-  HotResultCache* default_cache_ = nullptr;  // owned by caches_[""]
 };
 
 }  // namespace rulekit::engine

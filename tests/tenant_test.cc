@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,7 +141,7 @@ TEST(TenantPipelineTest, PerTenantCacheConfigOverride) {
 
   ChimeraPipeline pipeline(config);
   ASSERT_NE(pipeline.tenant_caches(), nullptr);
-  EXPECT_EQ(pipeline.tenant_caches()->defaults().capacity(), 8u);
+  EXPECT_EQ(pipeline.tenant_caches()->For("").capacity(), 8u);
   EXPECT_EQ(pipeline.tenant_caches()->For("small").capacity(), 8u);
   EXPECT_EQ(pipeline.tenant_caches()->For("big").capacity(), 64u);
 }
@@ -200,6 +201,181 @@ TEST(TenantPipelineTest, ForeignTenantCommitDoesNotStaleDropCachedWinners) {
   AddRules(pipeline, "whitelist r2: necklaces? => necklaces\n");
   EXPECT_GT(RunBatch(pipeline, hot, a).cache_stale_drops, 0u);
   EXPECT_GT(RunBatch(pipeline, hot).cache_stale_drops, 0u);
+}
+
+// Which views a non-rule edit re-tags, and which it changes. Scope is the
+// default tenant or tenant `a`, which owns a rule and so has a view of its
+// own; `b` never has state of its own and serves the default view. A
+// default-scope edit reaches every view (the default suppression set and
+// ensemble are everyone's); a tenant-scope edit reaches only that
+// tenant's.
+TEST(TenantPipelineTest, NonRuleEditsReTagExactlyTheViewsTheyChange) {
+  enum class Edit { kScaleDown, kScaleUp, kRetrain };
+  struct Case {
+    const char* name;
+    Edit edit;
+    TenantId scope;
+    std::vector<std::string> changed;  // views whose predictions change
+  };
+  const std::vector<Case> cases = {
+      {"default scale-down", Edit::kScaleDown, TenantId(), {"", "a", "b"}},
+      {"tenant scale-down", Edit::kScaleDown, TenantId("a"), {"a"}},
+      {"default scale-up", Edit::kScaleUp, TenantId(), {"", "a", "b"}},
+      {"tenant scale-up", Edit::kScaleUp, TenantId("a"), {"a"}},
+      {"default retrain", Edit::kRetrain, TenantId(), {"", "a", "b"}},
+      {"tenant retrain", Edit::kRetrain, TenantId("a"), {"a"}},
+  };
+  const std::vector<std::string> views = {"", "a", "b"};
+
+  // Two rule-classified titles (cached in every view) plus titles only a
+  // trained ensemble labels.
+  std::vector<data::ProductItem> items = {MakeItem("gold ring"),
+                                          MakeItem("synthetic motor oil")};
+  for (const data::LabeledItem& labeled : MakeTrainingData(20, 99)) {
+    items.push_back(labeled.item);
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PipelineConfig config = CachedConfig();
+    config.use_learning = true;
+    ChimeraPipeline pipeline(config);
+    AddRules(pipeline,
+             "whitelist r1: rings? => rings\n"
+             "whitelist o1: (motor | engine) oils? => motor oil\n");
+    AddRules(pipeline, "whitelist a1: gizmos? => gizmo\n", TenantId("a"));
+    switch (c.edit) {
+      case Edit::kScaleDown:
+        break;
+      case Edit::kScaleUp:
+        // Suppress first, then re-enable the rules the scale-down
+        // disabled, so lifting the suppression is visible.
+        ASSERT_TRUE(
+            pipeline.ScaleDownType("rings", "oncall", "probe", c.scope).ok());
+        ASSERT_TRUE(pipeline
+                        .Mutate("tenant-test",
+                                [](rules::RuleTransaction& txn) {
+                                  return txn.Enable(rules::RuleId("r1"));
+                                })
+                        .ok());
+        break;
+      case Edit::kRetrain:
+        pipeline.AddTrainingData(MakeTrainingData(200), c.scope);
+        break;
+    }
+
+    std::map<std::string, std::vector<std::optional<std::string>>> before;
+    for (const std::string& view : views) {
+      RunBatch(pipeline, items, TenantId(view));  // admits the winners
+      BatchReport warm = RunBatch(pipeline, items, TenantId(view));
+      ASSERT_GT(warm.cache_hits, 0u) << "view '" << view << "'";
+      before[view] = warm.predictions;
+    }
+
+    switch (c.edit) {
+      case Edit::kScaleDown:
+        ASSERT_TRUE(
+            pipeline.ScaleDownType("rings", "oncall", "probe", c.scope).ok());
+        break;
+      case Edit::kScaleUp:
+        pipeline.ScaleUpType("rings", c.scope);
+        break;
+      case Edit::kRetrain:
+        pipeline.RetrainLearning(c.scope);
+        break;
+    }
+
+    for (const std::string& view : views) {
+      const bool expect_change =
+          std::find(c.changed.begin(), c.changed.end(), view) !=
+          c.changed.end();
+      BatchReport after = RunBatch(pipeline, items, TenantId(view));
+      EXPECT_EQ(after.predictions != before[view], expect_change)
+          << "view '" << view << "'";
+      EXPECT_EQ(after.cache_stale_drops > 0, expect_change)
+          << "view '" << view << "'";
+    }
+  }
+}
+
+// Lifting a suppression that is not in place changes nothing: cached
+// winners keep hitting in every view, and no phantom tenant appears.
+TEST(TenantPipelineTest, ScaleUpOfUnsuppressedTypeIsANoOp) {
+  ChimeraPipeline pipeline(CachedConfig());
+  AddRules(pipeline, "whitelist r1: rings? => rings\n");
+  const TenantId a("a");
+  const std::vector<data::ProductItem> hot = Repeated("gold ring", 4);
+  ASSERT_GT(RunBatch(pipeline, hot).cache_promotions, 0u);
+  ASSERT_GT(RunBatch(pipeline, hot, a).cache_promotions, 0u);
+  const std::vector<std::string> tenants = pipeline.Tenants();
+  const uint64_t generation = pipeline.semantic_generation();
+
+  pipeline.ScaleUpType("rings");
+  pipeline.ScaleUpType("rings", a);
+  pipeline.ScaleUpType("rings", TenantId("ghost"));
+
+  for (const TenantId& tenant : {TenantId(), a}) {
+    BatchReport report = RunBatch(pipeline, hot, tenant);
+    EXPECT_EQ(report.cache_hits, hot.size());
+    EXPECT_EQ(report.cache_stale_drops, 0u);
+  }
+  EXPECT_EQ(pipeline.Tenants(), tenants);
+  EXPECT_EQ(pipeline.semantic_generation(), generation);
+}
+
+// A tenant with no state of its own caches winners under the default
+// view's tag. Its first own rule or suppression gives it a view of its
+// own, and those winners must drop even when every counter of the new
+// view equals the default view's: one shard, the tenant's rule counter
+// catching up with the shared one, or its generation with the default's.
+TEST(TenantPipelineTest, FirstOwnStateDropsWinnersCachedThroughDefaultView) {
+  const TenantId a("a");
+  {
+    SCOPED_TRACE("tenant blacklist commit");
+    PipelineConfig config = CachedConfig();
+    config.rule_shards = 1;
+    ChimeraPipeline pipeline(config);
+    AddRules(pipeline, "whitelist r1: rings? => rings\n");
+    const std::vector<data::ProductItem> hot = Repeated("gold ring", 4);
+    ASSERT_GT(RunBatch(pipeline, hot, a).cache_promotions, 0u);
+    ASSERT_EQ(RunBatch(pipeline, hot, a).cache_hits, hot.size());
+
+    AddRules(pipeline, "blacklist a1: gold rings? => rings\n", a);
+    BatchReport after = RunBatch(pipeline, hot, a);
+    EXPECT_GT(after.cache_stale_drops, 0u);
+    EXPECT_EQ(after.cache_hits, 0u);
+    for (const auto& prediction : after.predictions) {
+      EXPECT_NE(prediction, std::optional<std::string>("rings"));
+    }
+  }
+  {
+    SCOPED_TRACE("tenant scale-down after a default retrain");
+    PipelineConfig config = CachedConfig(/*capacity=*/256);
+    config.rule_shards = 1;
+    config.use_learning = true;
+    ChimeraPipeline pipeline(config);
+    pipeline.AddTrainingData(MakeTrainingData(200));
+    pipeline.RetrainLearning();
+    std::vector<data::ProductItem> items;
+    for (const data::LabeledItem& labeled : MakeTrainingData(40, 77)) {
+      items.push_back(labeled.item);
+    }
+    RunBatch(pipeline, items, a);  // admits the ensemble's winners
+    BatchReport warm = RunBatch(pipeline, items, a);
+    ASSERT_GT(warm.cache_hits, 0u);
+    std::optional<std::string> type;
+    for (const auto& prediction : warm.predictions) {
+      if (prediction.has_value()) type = prediction;
+    }
+    ASSERT_TRUE(type.has_value());
+
+    ASSERT_TRUE(pipeline.ScaleDownType(*type, "oncall", "probe", a).ok());
+    BatchReport after = RunBatch(pipeline, items, a);
+    EXPECT_GT(after.cache_stale_drops, 0u);
+    for (const auto& prediction : after.predictions) {
+      EXPECT_NE(prediction, type);
+    }
+  }
 }
 
 // ------------------------------------------------------- rule scoping --
@@ -379,6 +555,48 @@ TEST(TenantPipelineTest, SingleDefaultTenantRunIsByteIdentical) {
         rules::ShardKey::ForType(type, repo.shard_count());
     rules::ShardSnapshot shard = repo.ShardSnapshotOf(key);
     EXPECT_EQ(repo.tenant_shard_version(key, TenantId()), shard.version);
+  }
+}
+
+// A tenant with no state of its own, or with training data but no
+// trained ensemble yet, serves exactly the default tenant's view: shared
+// rules, the default ensemble and suppressions — with the cache on or off.
+TEST(TenantPipelineTest, TenantWithoutOwnEnsembleServesTheDefaultView) {
+  std::vector<data::ProductItem> items = {
+      MakeItem("gold ring"), MakeItem("silver toe ring"),
+      MakeItem("synthetic motor oil"), MakeItem("unknown widget")};
+  for (const data::LabeledItem& labeled : MakeTrainingData(40, 77)) {
+    items.push_back(labeled.item);
+  }
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cache on" : "cache off");
+    PipelineConfig config = CachedConfig(/*capacity=*/256);
+    config.use_learning = true;
+    config.hot_cache.enabled = cached;
+    ChimeraPipeline pipeline(config);
+    AddRules(pipeline,
+             "whitelist r1: rings? => rings\n"
+             "whitelist o1: (motor | engine) oils? => motor oil\n"
+             "blacklist r2: toe rings? => rings\n");
+    const TenantId pending("pending");
+    pipeline.AddTrainingData(MakeTrainingData(200, 5), pending);
+    pipeline.AddTrainingData(MakeTrainingData(200));
+    pipeline.RetrainLearning();  // publishes a view for `pending` too
+    ASSERT_TRUE(pipeline.ScaleDownType("motor oil", "oncall", "probe").ok());
+
+    // Twice per tenant: with the cache on, the second pass serves hits.
+    for (int pass = 0; pass < 2; ++pass) {
+      BatchReport base = RunBatch(pipeline, items);
+      for (const TenantId& tenant : {TenantId("stateless"), pending}) {
+        BatchReport report = RunBatch(pipeline, items, tenant);
+        EXPECT_EQ(report.predictions, base.predictions) << tenant.value();
+        EXPECT_EQ(report.classified, base.classified) << tenant.value();
+        EXPECT_EQ(report.suppressed, base.suppressed) << tenant.value();
+        EXPECT_EQ(report.filtered, base.filtered) << tenant.value();
+        EXPECT_EQ(report.declined, base.declined) << tenant.value();
+        EXPECT_EQ(report.cache_hits, base.cache_hits) << tenant.value();
+      }
+    }
   }
 }
 
