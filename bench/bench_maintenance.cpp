@@ -3,7 +3,6 @@
 // decays under drift, and retiring rules invalidated by a taxonomy split.
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -241,23 +240,5 @@ whitelist j9: jeans? => jeans
   std::printf("  invariance probe: %zu titles, %zu mismatches "
               "(monolithic vs sharded vs sharded+parallel)\n",
               probe_items.size(), mismatches);
-
-  std::ofstream json("BENCH_maintenance.json");
-  json << "{\n"
-       << "  \"benchmark\": \"bench_maintenance\",\n"
-       << "  \"subsumption_findings\": " << report.findings.size() << ",\n"
-       << "  \"mined_rules\": " << mined_set->size() << ",\n"
-       << "  \"republish\": {\n"
-       << "    \"rules\": " << kRules << ",\n"
-       << "    \"types\": " << kTypes << ",\n"
-       << "    \"shards\": " << kShards << ",\n"
-       << "    \"edit_rounds\": " << kEditRounds << ",\n"
-       << "    \"monolithic_ms_per_edit\": " << mono_ms << ",\n"
-       << "    \"sharded_ms_per_edit\": " << sharded_ms << ",\n"
-       << "    \"speedup\": " << speedup << ",\n"
-       << "    \"invariance_mismatches\": " << mismatches << "\n"
-       << "  }\n"
-       << "}\n";
-  std::printf("  wrote BENCH_maintenance.json\n");
   return 0;
 }

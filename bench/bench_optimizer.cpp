@@ -6,10 +6,9 @@
 // through the pipeline's transactional API, and measures executed
 // rules-per-item and end-to-end batch throughput before/after — the
 // claim under test is a >= 20% reduction with byte-identical
-// classifications. Writes BENCH_optimizer.json next to the binary.
+// classifications.
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -239,10 +238,12 @@ int main() {
     reb = Measure(rebucketed, corpus);
     rebucket_mismatches = CountMismatches(before.report, reb.report);
     std::printf("  executed rules/item %.2f, %.0f items/s "
-                "(candidates/item %.2f -> %.2f)\n",
+                "(candidates/item %.2f -> %.2f), %zu prediction "
+                "mismatches\n",
                 reb.epi, reb.items_per_s,
                 plan.rebucket.candidates_per_item_before,
-                plan.rebucket.candidates_per_item_after);
+                plan.rebucket.candidates_per_item_after,
+                rebucket_mismatches);
   }
 
   // ---- verdict ------------------------------------------------------------
@@ -260,57 +261,5 @@ int main() {
   std::printf("  prediction mismatches: %zu of %zu (confidence prunes "
               "touched %zu corpus items)\n",
               mismatches, corpus.size(), plan.prune_affected_items);
-
-  std::ofstream json("BENCH_optimizer.json");
-  json << "{\n"
-       << "  \"benchmark\": \"bench_optimizer\",\n"
-       << "  \"rules\": " << rule_base.size() << ",\n"
-       << "  \"types\": " << gen.specs().size() << ",\n"
-       << "  \"corpus_items\": " << corpus.size() << ",\n"
-       << "  \"plan\": {\n"
-       << "    \"drops\": " << plan.drops.size() << ",\n"
-       << "    \"merges\": " << plan.merges.size() << ",\n"
-       << "    \"prunes\": " << plan.prunes.size() << ",\n"
-       << "    \"prune_affected_items\": " << plan.prune_affected_items
-       << ",\n"
-       << "    \"pairs_checked\": " << plan.subsumption.pairs_checked << ",\n"
-       << "    \"fast_path_hits\": " << plan.subsumption.fast_path_hits
-       << ",\n"
-       << "    \"prefilter_refutations\": "
-       << plan.subsumption.prefilter_refutations << ",\n"
-       << "    \"skipped_pairs\": " << plan.subsumption.skipped_pairs << ",\n"
-       << "    \"anchored_pairs\": " << plan.subsumption.anchored_pairs
-       << ",\n"
-       << "    \"plan_seconds\": " << plan_seconds << ",\n"
-       << "    \"apply_ms\": " << apply_ms << "\n"
-       << "  },\n"
-       << "  \"executed_rules_per_item\": {\n"
-       << "    \"before\": " << before.epi << ",\n"
-       << "    \"after\": " << after.epi << ",\n"
-       << "    \"after_rebucketed\": " << reb.epi << ",\n"
-       << "    \"reduction\": " << reduction << ",\n"
-       << "    \"target_met\": " << (reduction >= 0.2 ? "true" : "false")
-       << "\n"
-       << "  },\n"
-       << "  \"throughput_items_per_s\": {\n"
-       << "    \"before\": " << before.items_per_s << ",\n"
-       << "    \"after\": " << after.items_per_s << ",\n"
-       << "    \"after_rebucketed\": " << reb.items_per_s << ",\n"
-       << "    \"speedup\": " << speedup << "\n"
-       << "  },\n"
-       << "  \"rebucket\": {\n"
-       << "    \"sample_titles\": " << plan.rebucket.sample_titles << ",\n"
-       << "    \"rebucketed_rules\": " << plan.rebucket.rebucketed_rules
-       << ",\n"
-       << "    \"candidates_per_item_before\": "
-       << plan.rebucket.candidates_per_item_before << ",\n"
-       << "    \"candidates_per_item_after\": "
-       << plan.rebucket.candidates_per_item_after << "\n"
-       << "  },\n"
-       << "  \"prediction_mismatches\": " << mismatches << ",\n"
-       << "  \"prediction_mismatches_rebucketed\": " << rebucket_mismatches
-       << "\n"
-       << "}\n";
-  std::printf("\nwrote BENCH_optimizer.json\n");
   return 0;
 }

@@ -6,12 +6,9 @@
 //      (no store vs kInterval vs kEveryCommit fsync)
 //   2. How fast does WAL replay rebuild the repository after a crash?
 //   3. How much faster is recovery from a compacted snapshot?
-//
-// Writes BENCH_recovery.json next to the binary.
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -161,23 +158,6 @@ int main() {
                     (*store)->recovery_stats().snapshot_epoch),
                 snap_ms, wal_ms / snap_ms);
   }
-
-  std::ofstream json("BENCH_recovery.json");
-  json << "{\n"
-       << "  \"num_rules\": " << kNumRules << ",\n"
-       << "  \"num_types\": " << kNumTypes << ",\n"
-       << "  \"shards\": " << kShards << ",\n"
-       << "  \"commit_us_in_memory\": " << in_memory.per_commit_us << ",\n"
-       << "  \"commit_us_wal_interval\": " << interval.per_commit_us << ",\n"
-       << "  \"commit_us_wal_fsync_each\": " << every.per_commit_us << ",\n"
-       << "  \"wal_replay_ms\": " << wal_ms << ",\n"
-       << "  \"wal_replay_records\": " << wal_records << ",\n"
-       << "  \"wal_replay_records_per_sec\": "
-       << wal_records / (wal_ms / 1000.0) << ",\n"
-       << "  \"snapshot_recovery_ms\": " << snap_ms << ",\n"
-       << "  \"snapshot_speedup\": " << wal_ms / snap_ms << "\n"
-       << "}\n";
-  std::printf("\nwrote BENCH_recovery.json\n");
 
   fs::remove_all(interval_dir);
   fs::remove_all(every_dir);

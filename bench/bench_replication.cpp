@@ -12,15 +12,14 @@
 //      follower's exported repository state must be byte-identical to
 //      the primary's.
 //
-// Writes BENCH_replication.json next to the binary. Loads are sized for
-// a small CI box; the shape (the group-commit ratio, lag in single-digit
-// milliseconds, identity == true), not the magnitude, is the result.
+// Loads are sized for a small CI box; the shape (the group-commit ratio,
+// lag in single-digit milliseconds, identity == true), not the magnitude,
+// is the result.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,8 +44,12 @@ const size_t kWriters = rulekit::bench::SmokeN(8, 2);
 const size_t kCommitsPerWriter = rulekit::bench::SmokeN(250, 20);
 const size_t kReplicationRounds = rulekit::bench::SmokeN(150, 10);
 
+fs::path ScratchRoot() {
+  return fs::temp_directory_path() / "rulekit_bench_repl";
+}
+
 fs::path ScratchDir(const std::string& name) {
-  fs::path dir = fs::temp_directory_path() / ("rulekit_bench_repl_" + name);
+  fs::path dir = ScratchRoot() / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -57,7 +60,6 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
 }
 
 struct WalRun {
-  const char* policy = "";
   double commits_per_s = 0;
   uint64_t syncs = 0;
   uint64_t group_batches = 0;
@@ -93,19 +95,17 @@ WalRun BenchWalPolicy(const char* label, storage::FsyncPolicy policy) {
     std::exit(1);
   }
   WalRun run;
-  run.policy = label;
   run.commits_per_s =
       static_cast<double>(kWriters * kCommitsPerWriter) / elapsed;
   run.syncs = wal->sync_count();
   run.group_batches = wal->group_batches();
   run.max_group_batch = wal->max_group_batch();
-  std::printf("  %-12s %10.0f commits/s   %6llu fsyncs", label,
-              run.commits_per_s, static_cast<unsigned long long>(run.syncs));
-  if (policy == storage::FsyncPolicy::kGroup) {
-    std::printf("   (max batch %llu)",
-                static_cast<unsigned long long>(run.max_group_batch));
-  }
-  std::printf("\n");
+  std::printf("  %-12s %10.0f commits/s   %6llu fsyncs   %6llu group "
+              "batches (max %llu)\n",
+              label, run.commits_per_s,
+              static_cast<unsigned long long>(run.syncs),
+              static_cast<unsigned long long>(run.group_batches),
+              static_cast<unsigned long long>(run.max_group_batch));
   return run;
 }
 
@@ -210,7 +210,7 @@ int main() {
 
   bench::Section("group commit: 8 writers through one WAL");
   WalRun every = BenchWalPolicy("every", storage::FsyncPolicy::kEveryCommit);
-  WalRun interval = BenchWalPolicy("interval", storage::FsyncPolicy::kInterval);
+  BenchWalPolicy("interval", storage::FsyncPolicy::kInterval);
   WalRun group = BenchWalPolicy("group", storage::FsyncPolicy::kGroup);
   const double speedup =
       every.commits_per_s > 0 ? group.commits_per_s / every.commits_per_s : 0;
@@ -219,29 +219,6 @@ int main() {
   bench::Section("follower replay lag (streaming primary -> follower)");
   ReplicationRun repl = BenchFollowerLag();
 
-  std::ofstream json("BENCH_replication.json");
-  json << "{\n  \"group_commit\": {\n";
-  const WalRun* runs[] = {&every, &interval, &group};
-  for (size_t i = 0; i < 3; ++i) {
-    json << "    \"" << runs[i]->policy << "\": {\"commits_per_s\": "
-         << runs[i]->commits_per_s << ", \"fsyncs\": " << runs[i]->syncs
-         << ", \"group_batches\": " << runs[i]->group_batches
-         << ", \"max_group_batch\": " << runs[i]->max_group_batch << "}"
-         << (i + 1 < 3 ? "," : "") << "\n";
-  }
-  json << "  },\n"
-       << "  \"group_vs_every_speedup\": " << speedup << ",\n"
-       << "  \"group_speedup_target\": 3.0,\n"
-       << "  \"follower\": {\n"
-       << "    \"commit_rate_per_s\": " << repl.commit_rate_per_s << ",\n"
-       << "    \"mean_lag_ms\": " << repl.mean_lag_ms << ",\n"
-       << "    \"max_lag_ms\": " << repl.max_lag_ms << ",\n"
-       << "    \"records_applied\": " << repl.records_applied << ",\n"
-       << "    \"quiesce_s\": " << repl.quiesce_s << ",\n"
-       << "    \"byte_identical\": "
-       << (repl.byte_identical ? "true" : "false") << "\n"
-       << "  }\n"
-       << "}\n";
-  std::printf("\nwrote BENCH_replication.json\n");
+  fs::remove_all(ScratchRoot());
   return repl.byte_identical ? 0 : 1;
 }

@@ -10,9 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "src/chimera/pipeline.h"
@@ -20,28 +17,14 @@
 
 namespace rulekit::bench {
 
-/// Bench-side conveniences over ChimeraPipeline::Classify(ClassifyRequest)
-/// mirroring the deprecated ProcessBatch / per-item Classify shapes, so
-/// the experiment binaries measure the one real entry point without
-/// request-building noise at every call site.
-
+/// Runs `items` through ChimeraPipeline::Classify(ClassifyRequest), the
+/// one real entry point, for the default tenant and returns its report.
 inline chimera::BatchReport RunBatch(
     const chimera::ChimeraPipeline& pipeline,
-    const std::vector<data::ProductItem>& items,
-    const rules::TenantId& tenant = {}) {
+    const std::vector<data::ProductItem>& items) {
   chimera::ClassifyRequest request;
-  request.tenant = tenant;
   request.items = items;
   return pipeline.Classify(request).report;
-}
-
-inline std::optional<std::string> ClassifyOne(
-    const chimera::ChimeraPipeline& pipeline, const data::ProductItem& item,
-    const rules::TenantId& tenant = {}) {
-  chimera::ClassifyRequest request;
-  request.tenant = tenant;
-  request.items = std::span<const data::ProductItem>(&item, 1);
-  return pipeline.Classify(request).report.predictions[0];
 }
 
 /// Smoke mode (RULEKIT_BENCH_SMOKE=1): every bench shrinks its iteration

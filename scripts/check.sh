@@ -25,8 +25,9 @@
 #   scripts/check.sh --bench-smoke       # build the plain tree and run every
 #                                        # bench binary once with a tiny
 #                                        # iteration budget (RULEKIT_BENCH_
-#                                        # SMOKE=1) — a did-it-run gate, not
-#                                        # a measurement
+#                                        # SMOKE=1) in a fresh empty dir that
+#                                        # must stay empty — a did-it-run
+#                                        # gate, not a measurement
 #   scripts/check.sh --timeout 120      # per-test seconds, overriding the
 #                                        # TIMEOUT each test registers
 #   CHECK_JOBS=4 scripts/check.sh        # override parallelism
@@ -87,25 +88,37 @@ run_tree() {
 }
 
 run_bench_smoke() {
+  local benches
+  benches="$(sed -n 's/^rulekit_add_bench(\([a-z0-9_]*\).*/\1/p' \
+    bench/CMakeLists.txt)"
   echo "=== [bench-smoke] configure build ==="
   cmake -B build -S .
   echo "=== [bench-smoke] build benches ==="
-  cmake --build build -j "${jobs}" --target $(
-    sed -n 's/^rulekit_add_bench(\([a-z0-9_]*\).*/\1/p' bench/CMakeLists.txt)
+  cmake --build build -j "${jobs}" --target ${benches}
   echo "=== [bench-smoke] run each bench with a token budget ==="
-  local failed=0
-  for bin in build/bench/bench_*; do
-    [[ -x "${bin}" && ! -d "${bin}" ]] || continue
-    echo "--- ${bin##*/} ---"
-    if ! (cd build/bench && RULEKIT_BENCH_SMOKE=1 "./${bin##*/}" \
-            > "/tmp/${bin##*/}.smoke.log" 2>&1); then
-      echo "FAILED: ${bin##*/} (log: /tmp/${bin##*/}.smoke.log)" >&2
-      tail -20 "/tmp/${bin##*/}.smoke.log" >&2
+  # Each bench runs in a fresh empty directory that is both its working
+  # directory and its TMPDIR. A bench prints its numbers; anything it
+  # leaves behind there (a stray result file, an unremoved scratch store)
+  # fails the gate.
+  local bin_dir="${PWD}/build/bench" failed=0 name work log
+  for name in ${benches}; do
+    echo "--- ${name} ---"
+    work="$(mktemp -d)"
+    log="/tmp/${name}.smoke.log"
+    if ! (cd "${work}" && TMPDIR="${work}" RULEKIT_BENCH_SMOKE=1 \
+            "${bin_dir}/${name}" > "${log}" 2>&1); then
+      echo "FAILED: ${name} (log: ${log})" >&2
+      tail -20 "${log}" >&2
+      failed=1
+    elif [[ -n "$(ls -A "${work}")" ]]; then
+      echo "FAILED: ${name} left files behind:" >&2
+      ls -A "${work}" >&2
       failed=1
     fi
+    rm -rf "${work}"
   done
   [[ "${failed}" -eq 0 ]] || exit 1
-  echo "=== all benches ran clean in smoke mode ==="
+  echo "=== all benches ran clean in smoke mode and left no files ==="
 }
 
 if [[ "${bench_smoke}" -eq 1 ]]; then

@@ -67,6 +67,13 @@ AuditAction ActionFromName(std::string_view name) {
   return AuditAction::kAdd;
 }
 
+// A rule's confidence is the score the rule classifier proposes to the
+// voting master, which sorts by it: NaN would break that ordering, and
+// the scale is [0, 1]. Every comparison with NaN is false, so NaN fails.
+bool ValidConfidence(double confidence) {
+  return confidence >= 0.0 && confidence <= 1.0;
+}
+
 }  // namespace
 
 RuleRepository::RuleRepository(size_t shard_count) {
@@ -159,6 +166,11 @@ Status RuleRepository::Transaction::Retire(const RuleId& id,
 
 Status RuleRepository::Transaction::SetConfidence(const RuleId& id,
                                                   double confidence) {
+  if (!ValidConfidence(confidence)) {
+    return Status::InvalidArgument(
+        StrFormat("confidence of rule %s must be in [0, 1], got %g",
+                  id.value().c_str(), confidence));
+  }
   ops_.push_back({OpKind::kSetConfidence, std::nullopt, id, "", confidence});
   return Status::OK();
 }
@@ -399,7 +411,7 @@ Status RuleRepository::Retire(const RuleId& id, std::string_view author,
 Status RuleRepository::SetConfidence(const RuleId& id, double confidence,
                                      std::string_view author) {
   Transaction txn = Begin(author);
-  (void)txn.SetConfidence(id, confidence);
+  RULEKIT_RETURN_IF_ERROR(txn.SetConfidence(id, confidence));
   return txn.Commit();
 }
 
@@ -960,7 +972,14 @@ Result<RuleRepository> RuleRepository::LoadFromFile(const std::string& path,
       pending.author = fields[0];
       pending.origin = OriginFromName(fields[1]);
       pending.created_at = std::strtoull(fields[2].c_str(), nullptr, 10);
-      pending.confidence = std::strtod(fields[3].c_str(), nullptr);
+      char* end = nullptr;
+      pending.confidence = std::strtod(fields[3].c_str(), &end);
+      if (end == fields[3].c_str() || *end != '\0' ||
+          !ValidConfidence(pending.confidence)) {
+        return Status::InvalidArgument(StrFormat(
+            "%s:%zu: #meta confidence '%s' is not a number in [0, 1]",
+            path.c_str(), line_no, fields[3].c_str()));
+      }
       pending.state = StateFromName(fields[4]);
       if (fields.size() > 5) pending.note = UnescapeControl(fields[5]);
       if (fields.size() > 6) pending.tenant = UnescapeControl(fields[6]);

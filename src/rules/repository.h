@@ -208,7 +208,8 @@ class RuleRepository {
     Transaction& operator=(const Transaction&) = delete;
 
     /// Stage edits. Ids may refer to rules added earlier in the same
-    /// transaction.
+    /// transaction. SetConfidence refuses a NaN, infinite or out-of-[0, 1]
+    /// confidence with kInvalidArgument and stages nothing.
     Status Add(Rule rule);
     Status Disable(const RuleId& id, std::string_view reason);
     Status Enable(const RuleId& id);

@@ -4,7 +4,7 @@
 // semantics, tenant isolation of alarms and retrain slots, the
 // severed-journal fault-injection backoff, and the full self-healing
 // scenario (drift -> alarm -> automatic retrain -> recovery) with no
-// operator in the loop.
+// operator in the loop, beside its baseline with no responder.
 
 #include <gtest/gtest.h>
 
@@ -545,53 +545,80 @@ TEST(StreamWindowTest, RecordsQualityAndFeedsTraining) {
   EXPECT_EQ(runner.windows(), 2u);
 }
 
-// ---- the tentpole scenario ------------------------------------------------
+// ---- the self-healing scenario --------------------------------------------
 
-// The full self-healing loop with no operator in it: a healthy stream
-// drifts (kVocabulary: rules abstain, the stale ensemble confidently
-// mislabels), the sampled precision collapses, the responder converts
-// the alarm into one automatic retrain, and the pipeline recovers above
-// threshold — exactly one retrain for the whole episode.
-TEST(SelfHealingTest, DriftAlarmRetrainRecoverWithoutOperator) {
-  EventStreamGenerator stream;
-  PipelineConfig config;
-  ChimeraPipeline pipeline(config);
-  ASSERT_TRUE(pipeline.AddRules(WriteEventRules(stream), "analyst").ok());
-  // Warm the learning side on the healthy stream.
-  pipeline.AddTrainingData(stream.GenerateMany(400));
-  pipeline.RetrainLearning();
+// One seeded timeline, run in two arms that differ only in whether a
+// DriftResponder watches it: a pipeline warmed on the healthy event
+// stream, kHealthyWindows healthy windows, then vocabulary drift on six
+// types (kVocabulary: rules abstain, the stale ensemble confidently
+// mislabels), then up to kDriftWindows degraded windows and
+// kRecoveryWindows more. The responder arm leaves the degraded regime as
+// soon as its retrain fires; the baseline arm runs every window.
+constexpr int kHealthyWindows = 3;
+constexpr int kDriftWindows = 8;
+constexpr int kRecoveryWindows = 4;
 
-  QualityMonitor monitor;  // default 0.92 threshold
+StreamWindowOptions SelfHealingWindowOptions() {
   StreamWindowOptions options;
   options.sample_size = 64;
-  StreamWindowRunner runner(pipeline, monitor, options);
-  DriftResponderPolicy policy;  // defaults: hysteresis 2, cooldown 30s
-  DriftResponder responder(pipeline, monitor, policy);
+  return options;
+}
 
-  // Healthy regime: three windows, no alarm, no responder fire.
-  for (int w = 0; w < 3; ++w) {
-    WindowResult result = runner.RunWindow(stream.GenerateMany(150));
+struct SelfHealingScenario {
+  EventStreamGenerator stream;
+  ChimeraPipeline pipeline;
+  QualityMonitor monitor;  // default 0.92 threshold
+  StreamWindowRunner runner{pipeline, monitor, SelfHealingWindowOptions()};
+
+  SelfHealingScenario() {
+    EXPECT_TRUE(pipeline.AddRules(WriteEventRules(stream), "analyst").ok());
+    // Warm the learning side on the healthy stream.
+    pipeline.AddTrainingData(stream.GenerateMany(400));
+    pipeline.RetrainLearning();
+  }
+
+  WindowResult NextWindow() {
+    return runner.RunWindow(stream.GenerateMany(150));
+  }
+
+  // Drift: half the type universe shifts vocabulary.
+  void InjectDrift() {
+    EventDriftOptions drift;
+    drift.kind = EventDriftKind::kVocabulary;
+    drift.drift_share = 0.9;
+    stream.InjectDrift(drift, 6);
+  }
+};
+
+// The full self-healing loop with no operator in it: the sampled
+// precision collapses under drift, the responder converts the alarm into
+// one automatic retrain, and the pipeline recovers above threshold —
+// exactly one retrain for the whole episode.
+TEST(SelfHealingTest, DriftAlarmRetrainRecoverWithoutOperator) {
+  SelfHealingScenario s;
+  DriftResponderPolicy policy;  // defaults: hysteresis 2, cooldown 30s
+  DriftResponder responder(s.pipeline, s.monitor, policy);
+
+  // Healthy regime: no alarm, no responder fire.
+  for (int w = 0; w < kHealthyWindows; ++w) {
+    WindowResult result = s.NextWindow();
     ASSERT_TRUE(result.status.ok());
     EXPECT_GE(result.quality.precision.estimate, 0.95) << "window " << w;
     responder.EvaluateNow();
   }
-  EXPECT_FALSE(monitor.DegradationAlarm());
+  EXPECT_FALSE(s.monitor.DegradationAlarm());
   EXPECT_EQ(responder.fires(), 0u);
 
-  // Drift: half the type universe shifts vocabulary.
-  EventDriftOptions drift;
-  drift.kind = EventDriftKind::kVocabulary;
-  drift.drift_share = 0.9;
-  stream.InjectDrift(drift, 6);
+  s.InjectDrift();
 
   // Degraded regime: run windows until the responder fires, then wait
   // for its retrain to land before streaming on.
   bool alarmed = false;
   int fired_window = -1;
-  for (int w = 0; w < 8 && fired_window < 0; ++w) {
-    WindowResult result = runner.RunWindow(stream.GenerateMany(150));
+  for (int w = 0; w < kDriftWindows && fired_window < 0; ++w) {
+    WindowResult result = s.NextWindow();
     ASSERT_TRUE(result.status.ok());
-    alarmed = alarmed || monitor.DegradationAlarm();
+    alarmed = alarmed || s.monitor.DegradationAlarm();
     responder.EvaluateNow();
     if (responder.fires() > 0) fired_window = w;
   }
@@ -605,19 +632,50 @@ TEST(SelfHealingTest, DriftAlarmRetrainRecoverWithoutOperator) {
   // Recovery regime: the retrained ensemble has the drifted vocabulary;
   // precision climbs back above threshold and stays there.
   double recovered = 0.0;
-  for (int w = 0; w < 4; ++w) {
-    WindowResult result = runner.RunWindow(stream.GenerateMany(150));
+  for (int w = 0; w < kRecoveryWindows; ++w) {
+    WindowResult result = s.NextWindow();
     ASSERT_TRUE(result.status.ok());
     recovered = result.quality.precision.estimate;
     responder.EvaluateNow();
   }
-  EXPECT_GE(recovered, monitor.threshold())
+  EXPECT_GE(recovered, s.monitor.threshold())
       << "pipeline did not recover after the automatic retrain";
-  EXPECT_FALSE(monitor.DegradationAlarm());
+  EXPECT_FALSE(s.monitor.DegradationAlarm());
 
   // Thrash freedom: the whole episode cost exactly one retrain.
   EXPECT_EQ(responder.fires(), 1u);
-  EXPECT_EQ(monitor.responder_fires(), 1u);
+  EXPECT_EQ(s.monitor.responder_fires(), 1u);
+}
+
+// The baseline arm: the same timeline with no responder never recovers.
+// The responder arm ends kRecoveryWindows windows after the degraded
+// window its retrain fired in, so its horizon ends somewhere between
+// post-drift window kRecoveryWindows and the end of its window budget.
+// At every such end the baseline's alarm is still up and its sampled
+// precision is still below threshold, and nothing has retrained — the
+// recovery above is the responder's doing, not the stream's.
+TEST(SelfHealingTest, WithoutResponderDriftStaysAlarmedAndUnrecovered) {
+  SelfHealingScenario s;
+  const uint64_t warmed_generation = s.pipeline.semantic_generation();
+
+  for (int w = 0; w < kHealthyWindows; ++w) {
+    ASSERT_TRUE(s.NextWindow().status.ok());
+  }
+  EXPECT_FALSE(s.monitor.DegradationAlarm());
+
+  s.InjectDrift();
+
+  for (int w = 0; w < kDriftWindows + kRecoveryWindows; ++w) {
+    WindowResult result = s.NextWindow();
+    ASSERT_TRUE(result.status.ok());
+    if (w < kRecoveryWindows) continue;
+    EXPECT_TRUE(s.monitor.DegradationAlarm()) << "post-drift window " << w;
+    EXPECT_LT(result.quality.precision.estimate, s.monitor.threshold())
+        << "post-drift window " << w;
+  }
+  EXPECT_EQ(s.monitor.responder_fires(), 0u);
+  EXPECT_EQ(s.pipeline.semantic_generation(), warmed_generation)
+      << "an ensemble was installed with no responder watching";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Cross-module property tests (parameterized over seeds): invariants of
 // rule selection, the rule miner, the rule index, the Chimera voting
-// semantics, EM matching, and repository checkpointing, all on randomized
+// semantics, and repository checkpointing, all on randomized
 // inputs.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "src/chimera/pipeline.h"
 #include "src/common/random.h"
 #include "src/data/catalog_generator.h"
-#include "src/em/matcher.h"
 #include "src/engine/executor.h"
 #include "src/eval/tracker.h"
 #include "src/gen/rule_miner.h"
@@ -235,34 +234,6 @@ TEST_P(SeededTest, PipelinePredictionsInvariantUnderRuleOrder) {
       EXPECT_EQ(report.predictions, reference);
     }
     rng.Shuffle(dsl_lines);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// EM: matching is symmetric and order-independent.
-// ---------------------------------------------------------------------------
-
-TEST_P(SeededTest, EmMatchingSymmetric) {
-  data::GeneratorConfig config;
-  config.seed = GetParam() + 600;
-  data::CatalogGenerator gen(config);
-  Rng rng(GetParam() + 601);
-  auto items = gen.GenerateMany(60);
-  em::EmMatcher matcher({
-      em::EmRule("t", {{"Title", em::EmOp::kJaccard3Gram, 0.6}}),
-      em::EmRule("b", {{"Brand", em::EmOp::kExactEqual, 0.0},
-                       {"Title", em::EmOp::kJaccard3Gram, 0.4}}),
-  });
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto& a = items[rng.Uniform(items.size())].item;
-    const auto& b = items[rng.Uniform(items.size())].item;
-    std::string rule_ab, rule_ba;
-    bool ab = matcher.Matches(a, b, &rule_ab);
-    bool ba = matcher.Matches(b, a, &rule_ba);
-    EXPECT_EQ(ab, ba);
-    if (ab) {
-      EXPECT_EQ(rule_ab, rule_ba);
-    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "src/rules/dictionary_registry.h"
 #include "src/rules/predicate.h"
@@ -326,6 +327,37 @@ TEST(RepositoryTest, AuditLogRecordsMutations) {
   EXPECT_DOUBLE_EQ(repo.rules().Find("r1")->metadata().confidence, 0.8);
 }
 
+// A confidence is the rule's voting score: NaN, an infinity or a value
+// outside [0, 1] is refused before anything is staged, so the rule, the
+// versions and the audit log stay as they were.
+TEST(RepositoryTest, SetConfidenceRefusesNonFiniteAndOutOfRange) {
+  RuleRepository repo;
+  ASSERT_TRUE(repo.Add(*Rule::Whitelist("r1", "a+", "t"), "alice").ok());
+  ASSERT_TRUE(repo.SetConfidence("r1", 0.8, "carol").ok());
+  const uint64_t version = repo.composite_version();
+  const size_t audit_entries = repo.HistoryOf("r1").size();
+
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5,
+                     inf, -inf}) {
+    EXPECT_EQ(repo.SetConfidence("r1", bad, "mallory").code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    auto txn = repo.Begin("mallory");
+    EXPECT_EQ(txn.SetConfidence(RuleId("r1"), bad).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(txn.staged(), 0u);
+  }
+  EXPECT_DOUBLE_EQ(repo.rules().Find("r1")->metadata().confidence, 0.8);
+  EXPECT_EQ(repo.composite_version(), version);
+  EXPECT_EQ(repo.HistoryOf("r1").size(), audit_entries);
+
+  // Both ends of the scale are valid.
+  EXPECT_TRUE(repo.SetConfidence("r1", 0.0, "carol").ok());
+  EXPECT_TRUE(repo.SetConfidence("r1", 1.0, "carol").ok());
+}
+
 TEST(RepositoryTest, DisableRulesForTypeScalesDown) {
   RuleRepository repo;
   ASSERT_TRUE(repo.Add(*Rule::Whitelist("w1", "coats?", "winter coats"),
@@ -429,6 +461,23 @@ TEST(RepositoryTest, LoadFromFileRejectsDuplicateIds) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kAlreadyExists);
   // The error pinpoints the offending file and line.
   EXPECT_NE(loaded.status().message().find(":3: duplicate rule id: dup1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(RepositoryTest, LoadFromFileRejectsNaNConfidence) {
+  std::string path = ::testing::TempDir() + "/rulekit_nan_conf_test.rules";
+  {
+    std::ofstream out(path);
+    out << "whitelist ok1: oils? => motor oil\n"
+        << "#meta alice\tanalyst\t1\tnan\tactive\n"
+        << "whitelist w1: rings? => rings\n";
+  }
+  auto loaded = RuleRepository::LoadFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(":2: #meta confidence 'nan'"),
             std::string::npos)
       << loaded.status().ToString();
   std::remove(path.c_str());

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -283,6 +284,45 @@ TEST(RuleServerTest, RejectsMalformedRequests) {
   EXPECT_EQ(response->code, WireCode::kInvalidArgument);
 
   EXPECT_EQ(server.stats().invalid_requests, 2u);
+  server.Stop();
+}
+
+// A rule confidence is the voting score, in [0, 1]: a wire edit that
+// carries NaN is refused with kInvalidArgument and leaves the rule as it
+// was, while a valid confidence on the same connection still applies.
+TEST(RuleServerTest, EditRefusesNaNConfidence) {
+  chimera::ChimeraPipeline pipeline;
+  auto rules = rules::ParseRules("whitelist conf1: rings? => rings\n");
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  ASSERT_TRUE(pipeline.AddRules(std::move(rules).value(), "test").ok());
+  ServerConfig config;
+  config.writer = &pipeline;
+  RuleServer server(pipeline, config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = RuleClient::Connect(server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  WireRuleEditRequest edit;
+  edit.request_id = 1;
+  edit.author = "analyst";
+  edit.op = EditOp::kSetConfidence;
+  edit.rule_id = "conf1";
+  edit.confidence = std::numeric_limits<double>::quiet_NaN();
+  auto response = client->CallEdit(edit);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->code, WireCode::kInvalidArgument) << response->message;
+  EXPECT_DOUBLE_EQ(
+      pipeline.rule_set().Find("conf1")->metadata().confidence, 1.0);
+  EXPECT_EQ(server.stats().edit_failures, 1u);
+  EXPECT_EQ(server.stats().edits_applied, 0u);
+
+  edit.request_id = 2;
+  edit.confidence = 0.5;
+  response = client->CallEdit(edit);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->code, WireCode::kOk) << response->message;
+  EXPECT_DOUBLE_EQ(
+      pipeline.rule_set().Find("conf1")->metadata().confidence, 0.5);
   server.Stop();
 }
 
